@@ -5,7 +5,7 @@ N ?= 1000
 START ?= 0
 WORKERS ?= 4
 
-.PHONY: test test-all fuzz fuzz-parallel bench bench-topn bench-durability obs-smoke metrics-smoke chaos battery server-smoke crash-battery
+.PHONY: test test-all fuzz fuzz-parallel bench bench-topn bench-durability obs-smoke metrics-smoke chaos battery server-smoke crash-battery perfbench-smoke
 
 # The tier-1 suite runs three times: fully serial, with a 4-worker
 # pool (the serial-equivalence contract of the morsel-driven executor,
@@ -23,8 +23,15 @@ test: obs-smoke
 	$(MAKE) chaos
 	$(MAKE) crash-battery
 	$(MAKE) server-smoke
+	$(MAKE) perfbench-smoke
 	$(PY) -m repro.bench.topn --smoke
 	$(PY) -m repro.bench.durability --smoke
+
+# The repository benchmark's own tests (perfbench/README.md): every
+# workload at smoke size with its answers checked, the metric contract
+# against BENCHMARK.json, and time accounting of the traced run.
+perfbench-smoke:
+	$(PY) -m pytest perfbench/tests -q
 
 # TPC-H-shaped SQL battery (tests/sql_battery/) under raw and encoded
 # storage, serial and 4 workers, vs the SQLite oracle — plus a

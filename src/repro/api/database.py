@@ -1264,7 +1264,7 @@ class Database:
     ) -> int:
         """Bulk-load numpy columns directly into a table (zero-copy
         where dtypes already match). Column names must cover the schema.
-        Note: this fast path bypasses the WAL."""
+        A durable session logs the loaded rows at commit."""
         txn, owned = self._current_txn()
         try:
             current = txn.read(table)
@@ -1285,11 +1285,10 @@ class Database:
                 if values.dtype != target:
                     values = values.astype(target)
                 cols.append(Column(values, col_schema.sql_type))
-            addition = TableData(schema, cols)
-            txn.write(table, current.append_data(addition))
+            count = txn.append_data(table, TableData(schema, cols))
             if owned:
                 txn.commit()
-            return addition.row_count
+            return count
         except BaseException:
             if owned and txn.status == "active":
                 txn.rollback()
@@ -1850,41 +1849,24 @@ class Database:
 
         if statement.where is not None:
             predicate = binder.bind_standalone(statement.where, columns)
-            mask = truth_mask(
-                ctx.compiler.compile(predicate)(batch, eval_ctx)
+            positions = np.flatnonzero(
+                truth_mask(ctx.compiler.compile(predicate)(batch, eval_ctx))
             )
         else:
-            mask = np.ones(data.row_count, dtype=np.bool_)
-
-        replacements: dict[int, Column] = {}
+            positions = np.arange(data.row_count)
+        assignments = []
         for col_name, expr in statement.assignments:
             ordinal = data.schema.index_of(col_name)
-            target_schema = data.schema.columns[ordinal]
             bound = binder.bind_standalone(expr, columns)
-            new_col = ctx.compiler.compile(bound)(batch, eval_ctx)
-            new_col = new_col.cast(target_schema.sql_type)
-            old_col = data.columns[ordinal]
-            merged_values = np.where(mask, new_col.values, old_col.values)
-            if data.schema.columns[ordinal].sql_type.numpy_dtype() == object:
-                merged_values = merged_values.astype(object)
-            else:
-                merged_values = merged_values.astype(
-                    target_schema.sql_type.numpy_dtype()
-                )
-            merged_valid = np.where(
-                mask, new_col.validity(), old_col.validity()
-            )
-            if target_schema.not_null and not merged_valid.all():
-                raise CatalogError(
-                    f"NULL in NOT NULL column {col_name!r}"
-                )
-            replacements[ordinal] = Column(
-                merged_values, target_schema.sql_type, merged_valid
-            )
-        new_data = data.replace_columns(replacements)
-        txn.write(statement.table, new_data)
-        self._log_replace(txn, statement.table, new_data)
-        updated = int(mask.sum())
+            assignments.append((ordinal, ctx.compiler.compile(bound)))
+        values: dict[int, Column] = {}
+        if len(positions):
+            # SET expressions are evaluated on the rows WHERE hit only.
+            hit = batch.take(positions)
+            for ordinal, compiled in assignments:
+                target = data.schema.columns[ordinal].sql_type
+                values[ordinal] = compiled(hit, eval_ctx).cast(target)
+        updated = txn.update_rows(statement.table, positions, values)
         self.metrics.counter("storage_rows_updated_total").inc(updated)
         return QueryResult.statement(updated)
 
@@ -1892,33 +1874,23 @@ class Database:
         self, statement: ast.Delete, txn: Transaction
     ) -> QueryResult:
         data = txn.read(statement.table)
-        batch, columns = self._table_as_batch(data)
         if statement.where is None:
-            keep = np.zeros(data.row_count, dtype=np.bool_)
+            positions = np.arange(data.row_count)
         else:
+            batch, columns = self._table_as_batch(data)
             binder = self._make_binder(txn)
             ctx = self._make_exec_context(txn)
             predicate = binder.bind_standalone(statement.where, columns)
-            mask = truth_mask(
-                ctx.compiler.compile(predicate)(
-                    batch, ctx.new_eval_context()
+            positions = np.flatnonzero(
+                truth_mask(
+                    ctx.compiler.compile(predicate)(
+                        batch, ctx.new_eval_context()
+                    )
                 )
             )
-            keep = ~mask
-        deleted = int(data.row_count - keep.sum())
-        new_data = data.delete_where(keep)
-        txn.write(statement.table, new_data)
-        self._log_replace(txn, statement.table, new_data)
+        deleted = txn.delete_rows(statement.table, positions)
         self.metrics.counter("storage_rows_deleted_total").inc(deleted)
         return QueryResult.statement(deleted)
-
-    def _log_replace(
-        self, txn: Transaction, table: str, data: TableData
-    ) -> None:
-        """Record a whole-table replacement in the WAL (UPDATE/DELETE)."""
-        if self.txns.wal is None:
-            return
-        txn._log.append(("replace", table.lower(), list(data.rows())))
 
 
 def connect(wal_path: Optional[str] = None, **kwargs) -> Database:

@@ -143,6 +143,38 @@ class TableData:
             self.schema, [c.filter(keep_mask) for c in self.columns]
         )
 
+    def delete_at(self, positions: np.ndarray) -> "TableData":
+        """A new version without the rows at ``positions`` (DELETE)."""
+        keep = np.ones(self.row_count, dtype=np.bool_)
+        keep[positions] = False
+        return self.delete_where(keep)
+
+    def update_at(
+        self, positions: np.ndarray, values: dict[int, Column]
+    ) -> "TableData":
+        """A new version with ``values[ordinal]`` written at row
+        ``positions`` (UPDATE). Each value column holds one entry per
+        position in the target column's SQL type; NOT NULL is
+        enforced and untouched columns are shared, not copied."""
+        replacements = {}
+        for ordinal, new in values.items():
+            col_schema = self.schema.columns[ordinal]
+            if col_schema.not_null and new.null_count():
+                raise CatalogError(
+                    f"NULL in NOT NULL column {col_schema.name!r}"
+                )
+            old = self.columns[ordinal]
+            merged = old.values.astype(col_schema.sql_type.numpy_dtype())
+            merged[positions] = new.values
+            valid = None
+            if old.valid is not None or new.valid is not None:
+                valid = old.validity().copy()
+                valid[positions] = new.validity()
+            replacements[ordinal] = Column(
+                merged, col_schema.sql_type, valid
+            )
+        return self.replace_columns(replacements)
+
     def replace_columns(
         self, replacements: dict[int, Column]
     ) -> "TableData":
@@ -183,18 +215,15 @@ class Table:
         return self.dropped_ts is None or ts < self.dropped_ts
 
     def data_at(self, ts: int) -> TableData:
-        """Latest version committed at or before ``ts``."""
-        chosen: TableData | None = None
-        for commit_ts, data in self.versions:
+        """Latest version committed at or before ``ts``. Searched from
+        the newest end: almost every reader wants the head, and the
+        list grows by one version per write until a vacuum."""
+        for commit_ts, data in reversed(self.versions):
             if commit_ts <= ts:
-                chosen = data
-            else:
-                break
-        if chosen is None:
-            raise CatalogError(
-                f"table {self.name!r} not visible at snapshot {ts}"
-            )
-        return chosen
+                return data
+        raise CatalogError(
+            f"table {self.name!r} not visible at snapshot {ts}"
+        )
 
     def latest(self) -> TableData:
         """The most recently committed version."""

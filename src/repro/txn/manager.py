@@ -17,9 +17,12 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..errors import CatalogError, SerializationConflict, TransactionError
 from ..obs.metrics import MetricsRegistry
 from ..storage.catalog import Catalog
+from ..storage.column import Column
 from ..storage.encoding import encode_table_data
 from ..storage.schema import TableSchema
 from ..storage.table import TableData
@@ -131,6 +134,53 @@ class Transaction:
             "storage_rows_inserted_total"
         ).inc(len(materialised))
         return len(materialised)
+
+    def append_data(self, name: str, addition: TableData) -> int:
+        """Append an already-columnar version's rows (bulk load);
+        returns the number appended. Logged like :meth:`insert_rows`,
+        with the rows rendered only if the commit reaches a WAL."""
+        current = self.read(name)
+        self.write(name, current.append_data(addition))
+        if addition.row_count:
+            self._log.append(("insert", name.lower(), addition))
+        return addition.row_count
+
+    # Positional deltas. An UPDATE or DELETE is logged as the row
+    # positions it hit in the table as this transaction sees it.
+    # Replay reproduces those positions exactly because (1) replay
+    # applies transactions in commit order, (2) first-committer-wins
+    # means every table a transaction writes has, at commit, the same
+    # committed base as the snapshot it read, and (3) checkpoints and
+    # snapshots keep row order. Every committed row change must
+    # therefore be logged (docs/durability.md).
+
+    def update_rows(
+        self,
+        name: str,
+        positions: np.ndarray,
+        values: dict[int, Column],
+    ) -> int:
+        """Write ``values[ordinal]`` (one entry per position, in the
+        column's SQL type) at the strictly ascending row ``positions``;
+        returns the number of rows updated. Zero positions stage and
+        log nothing."""
+        current = self.read(name)
+        if len(positions) == 0:
+            return 0
+        self.write(name, current.update_at(positions, values))
+        self._log.append(("update", name.lower(), positions, values))
+        return len(positions)
+
+    def delete_rows(self, name: str, positions: np.ndarray) -> int:
+        """Delete the rows at the strictly ascending ``positions``;
+        returns the number deleted. Zero positions stage and log
+        nothing."""
+        current = self.read(name)
+        if len(positions) == 0:
+            return 0
+        self.write(name, current.delete_at(positions))
+        self._log.append(("delete", name.lower(), positions))
+        return len(positions)
 
     # -- savepoints --------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Write-ahead log (v2): checksummed, length-prefixed, fsync-durable.
 
 Committed transactions append one logical record per operation
-(create/drop table, insert, whole-table replace) followed by a commit
+(create/drop table, insert, update, delete) followed by a commit
 marker; all of a transaction's frames are written in one ``write`` and
 made durable with one ``fsync`` before the commit is acknowledged.
 Recovery replays complete transactions **atomically** (grouped by
@@ -10,10 +10,17 @@ transaction id, one commit per original transaction) in commit order.
 The engine logs *logical* operations rather than physical page images
 because the storage layer is pure main-memory copy-on-write: replaying
 logical ops against an empty catalog deterministically reconstructs
-state. DELETE and UPDATE are logged as the full replacement row set of
-the table (simple and correct for a main-memory engine whose versions
-are already whole-table snapshots); ``Database.checkpoint()`` bounds
-the resulting log growth (docs/durability.md).
+state. UPDATE and DELETE are logged as row deltas: the ascending row
+positions the statement hit (plus, for UPDATE, the new values of each
+assigned column at those positions). Positions replay exactly because
+replay runs in commit order, first-committer-wins guarantees that each
+table a transaction writes has, at commit, the committed base the
+transaction read, and checkpoints keep row order. Replay checks every
+position against the table and raises
+:class:`~repro.errors.WalCorruptionError` rather than write a wrong
+table. The whole-table ``replace`` record of earlier builds is no
+longer written but still replays. ``Database.checkpoint()`` bounds log
+growth (docs/durability.md).
 
 v2 on-disk format
 -----------------
@@ -69,9 +76,13 @@ import struct
 import zlib
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ..errors import TransactionError, WalCorruptionError
 from ..types import SQLType, TypeKind
+from ..storage.column import Column
 from ..storage.schema import ColumnSchema, TableSchema
+from ..storage.table import TableData
 
 #: v2 file magic (8 bytes).
 MAGIC = b"RPWALv2\n"
@@ -141,6 +152,37 @@ def _schema_from_json(payload: list[dict]) -> TableSchema:
             ColumnSchema(item["name"], sql_type, item.get("not_null", False))
         )
     return TableSchema(tuple(cols))
+
+
+def _bad_record(record: dict, detail: str) -> WalCorruptionError:
+    return WalCorruptionError(
+        f"write-ahead log record for {record.get('name')!r} "
+        f"(txn {record.get('txn')}, op {record.get('op')!r}) "
+        f"does not fit the table: {detail}",
+        info={"txn": record.get("txn"), "op": record.get("op")},
+    )
+
+
+def _record_positions(record: dict, row_count: int) -> np.ndarray:
+    """The row positions of an ``update``/``delete`` record, checked
+    against the table it replays into: strictly ascending and within
+    ``[0, row_count)``. Anything else means the log and the table
+    disagree, and applying it would write a wrong table."""
+    raw = record["positions"]
+    if not all(type(p) is int for p in raw):
+        raise _bad_record(record, "non-integer row position")
+    positions = np.asarray(raw, dtype=np.int64)
+    if len(positions) and (
+        positions[0] < 0
+        or positions[-1] >= row_count
+        or bool((np.diff(positions) <= 0).any())
+    ):
+        raise _bad_record(
+            record,
+            f"row positions not strictly ascending within "
+            f"[0, {row_count})",
+        )
+    return positions
 
 
 def fsync_directory(path: str) -> None:
@@ -226,6 +268,9 @@ class WriteAheadLog:
         #: for in-memory logs) — recovery telemetry captured *before*
         #: any truncate-and-continue repair.
         self.open_scan: Optional[ScanInfo] = None
+        #: ``(seq, record)`` pairs of the open-time pass, until the
+        #: first replay or write (see :meth:`_open_file`).
+        self._open_pairs: Optional[list[tuple[int, dict]]] = None
         # -- crash-injection hooks (see module docstring) ---------------
         self._fsync_calls = 0
         self._fsync_fail_at = self._env_int(FSYNC_FAIL_ENV)
@@ -281,9 +326,10 @@ class WriteAheadLog:
                 os.fsync(handle.fileno())
             data = MAGIC
         if self.format == "v2":
-            info = self._scan_v2(data)
+            pairs, info = self._scan_v2(data)
         else:
-            _, info = self._scan_v1(data)
+            records, info = self._scan_v1(data)
+            pairs = list(enumerate(records, 1))
         self.open_scan = info
         self._seq = info.last_seq
         if info.corrupt and self.recovery == "strict":
@@ -299,6 +345,11 @@ class WriteAheadLog:
                     handle.flush()
                     os.fsync(handle.fileno())
             self._bytes = info.valid_bytes
+        # Recovery replays right after opening: keep the decoded
+        # records for that first replay so it decodes nothing again
+        # (any append or truncation drops them).
+        if self._poisoned is None:
+            self._open_pairs = pairs
         self._handle = open(self.path, "ab")
         if (
             self.format == "v1"
@@ -411,6 +462,7 @@ class WriteAheadLog:
         return len(blob)
 
     def _write_durable(self, blob: bytes) -> None:
+        self._open_pairs = None
         if self._memory is not None:
             self._memory.write(blob)
             self._bytes += len(blob)
@@ -467,26 +519,45 @@ class WriteAheadLog:
             return {"txn": txn_id, "op": "drop_table", "name": name}
         if kind == "insert":
             _, name, rows = op
+            if isinstance(rows, TableData):  # bulk load: render now
+                rows = rows.rows()
             return {
                 "txn": txn_id,
                 "op": "insert",
                 "name": name,
                 "rows": [list(r) for r in rows],
             }
-        if kind == "replace":
-            _, name, rows = op
+        if kind == "update":
+            _, name, positions, values = op
             return {
                 "txn": txn_id,
-                "op": "replace",
+                "op": "update",
                 "name": name,
-                "rows": [list(r) for r in rows],
+                "positions": positions.tolist(),
+                "columns": [
+                    [ordinal, column.to_pylist()]
+                    for ordinal, column in values.items()
+                ],
+            }
+        if kind == "delete":
+            _, name, positions = op
+            return {
+                "txn": txn_id,
+                "op": "delete",
+                "name": name,
+                "positions": positions.tolist(),
             }
         raise TransactionError(f"unknown WAL operation: {kind!r}")
 
     # -- reading ---------------------------------------------------------------
 
-    def _scan_v2(self, data: bytes) -> ScanInfo:
+    def _scan_v2(
+        self, data: bytes
+    ) -> tuple[list[tuple[int, dict]], ScanInfo]:
+        """Every valid frame as a ``(seq, record)`` pair (each payload
+        decoded once) plus what the pass found."""
         info = ScanInfo()
+        pairs: list[tuple[int, dict]] = []
         pos = len(MAGIC)
         info.valid_bytes = pos
         size = len(data)
@@ -517,13 +588,14 @@ class WriteAheadLog:
                 )
                 break
             try:
-                json.loads(payload.decode("utf-8"))
+                record = json.loads(payload.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
                 info.corrupt = True
                 info.corrupt_detail = (
                     f"undecodable payload at offset {pos} (seq {seq})"
                 )
                 break
+            pairs.append((seq, record))
             prev_seq = seq
             info.last_seq = seq
             info.records_scanned += 1
@@ -535,7 +607,7 @@ class WriteAheadLog:
             # Best-effort count of whole frames lost after the corrupt
             # point (framing may itself be damaged, so this is a floor).
             info.records_discarded = max(1, self._count_frames(rest))
-        return info
+        return pairs, info
 
     @staticmethod
     def _count_frames(data: bytes) -> int:
@@ -582,27 +654,15 @@ class WriteAheadLog:
         info.valid_bytes = consumed
         return records, info
 
-    def scan(self) -> tuple[list[dict], ScanInfo]:
-        """All valid records plus what the pass found.
-
-        Honors ``self.recovery``: mid-log corruption raises
-        :class:`WalCorruptionError` in strict mode; in tolerant mode
-        the corrupt suffix is dropped and counted on the returned
-        :class:`ScanInfo`. A torn tail is never an error."""
+    def _scan_pairs(self) -> tuple[list[tuple[int, dict]], ScanInfo]:
+        """``(seq, record)`` for every valid record, plus what the pass
+        found; honors ``self.recovery`` like :meth:`scan`."""
         data = self._read_bytes()
         if self._sniff(data) == "v1":
             records, info = self._scan_v1(data)
+            pairs = list(enumerate(records, 1))
         else:
-            info = self._scan_v2(data)
-            records = []
-            pos = len(MAGIC)
-            for _ in range(info.records_scanned):
-                length, _, _ = _HEADER.unpack_from(data, pos)
-                start = pos + _HEADER.size
-                records.append(
-                    json.loads(data[start : start + length].decode("utf-8"))
-                )
-                pos = start + length
+            pairs, info = self._scan_v2(data)
         if info.corrupt and self.recovery == "strict":
             raise WalCorruptionError(
                 f"write-ahead log corrupt: {info.corrupt_detail} "
@@ -610,7 +670,17 @@ class WriteAheadLog:
                 f"{info.bytes_discarded} byte(s) unrecoverable)",
                 info=info.to_dict(),
             )
-        return records, info
+        return pairs, info
+
+    def scan(self) -> tuple[list[dict], ScanInfo]:
+        """All valid records plus what the pass found.
+
+        Honors ``self.recovery``: mid-log corruption raises
+        :class:`WalCorruptionError` in strict mode; in tolerant mode
+        the corrupt suffix is dropped and counted on the returned
+        :class:`ScanInfo`. A torn tail is never an error."""
+        pairs, info = self._scan_pairs()
+        return [record for _, record in pairs], info
 
     def records(self) -> list[dict]:
         """All well-formed records (tolerant of a torn tail; honors the
@@ -644,9 +714,29 @@ class WriteAheadLog:
             txn.drop_table(record["name"])
         elif op == "insert":
             txn.insert_rows(record["name"], record["rows"])
+        elif op == "update":
+            data = txn.read(record["name"])
+            positions = _record_positions(record, data.row_count)
+            values = {}
+            for ordinal, items in record["columns"]:
+                if not (
+                    type(ordinal) is int
+                    and 0 <= ordinal < len(data.schema)
+                    and len(items) == len(positions)
+                ):
+                    raise _bad_record(record, "bad update column")
+                values[ordinal] = Column.from_values(
+                    items, data.schema.columns[ordinal].sql_type
+                )
+            txn.update_rows(record["name"], positions, values)
+        elif op == "delete":
+            data = txn.read(record["name"])
+            txn.delete_rows(
+                record["name"], _record_positions(record, data.row_count)
+            )
         elif op == "replace":
-            from ..storage.table import TableData
-
+            # Whole-table image: no longer written, but logs from
+            # earlier builds still hold it.
             data = txn.read(record["name"])
             txn.write(
                 record["name"],
@@ -670,25 +760,14 @@ class WriteAheadLog:
         return self.replay_stats(manager, min_seq=min_seq)["operations"]
 
     def replay_stats(self, manager, min_seq: int = 0) -> dict:
-        data = self._read_bytes()
-        if self._sniff(data) == "v1":
-            records, _ = self.scan()
-            seqs = list(range(1, len(records) + 1))
-        else:
-            # scan() already applied the recovery policy; re-walk the
-            # frames for (seq, record) pairs.
-            records, info = self.scan()
-            seqs = []
-            pos = len(MAGIC)
-            for _ in range(info.records_scanned):
-                length, _, seq = _HEADER.unpack_from(data, pos)
-                seqs.append(seq)
-                pos += _HEADER.size + length
+        pairs, self._open_pairs = self._open_pairs, None
+        if pairs is None:
+            pairs, _ = self._scan_pairs()
         pending: dict[int, list[dict]] = {}
         operations = 0
         transactions = 0
         skipped = 0
-        for seq, record in zip(seqs, records):
+        for seq, record in pairs:
             txn_id = record.get("txn")
             if record.get("op") != "commit":
                 pending.setdefault(txn_id, []).append(
@@ -731,6 +810,7 @@ class WriteAheadLog:
         is rewritten into a fresh v2 file that replaces the log in one
         rename; the append handle is reopened on the new file. Also
         upgrades a legacy v1 log to v2 framing."""
+        self._open_pairs = None
         if self._memory is not None:
             data = self._memory.getvalue()
             records, info = self.scan()
@@ -752,7 +832,7 @@ class WriteAheadLog:
         with open(tmp, "wb") as handle:
             handle.write(MAGIC)
             if self._sniff(data) == "v2":
-                info = self._scan_v2(data)
+                _, info = self._scan_v2(data)
                 pos = len(MAGIC)
                 for _ in range(info.records_scanned):
                     length, _, rec_seq = _HEADER.unpack_from(data, pos)
